@@ -10,11 +10,12 @@ recorded week by week.  The estimation window strictly precedes the
 evaluation block, so no look-ahead enters the weights; a trailing
 partial block is dropped.
 
-Blocks and radii are independent tasks.  They run sequentially by
-default; setting the environment variable ``GELBRICH_THREADS`` to an
-integer above one executes them in a thread pool of that size.  Results
-are reduced into ρ-ordered, date-ordered arrays by index, so the output
-is byte-identical across parallelism settings.
+Each (block, radius) cell is one call of
+:func:`gelbrisk.optimize.minimize_tracking`, which evaluates the
+worst-case tracking error in closed form and minimizes it by accelerated
+projected gradient until the Frank-Wolfe gap certifies the weights.  The
+cells run sequentially and deterministically: the same panel and
+configuration always give byte-identical results.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import csv
 import datetime
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,19 +259,6 @@ class BacktestResult:
         return "\n".join(lines) + "\n"
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("GELBRICH_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"GELBRICH_THREADS must be an integer, got {raw!r}"
-        ) from None
-    return max(1, min(workers, n_tasks))
-
-
 def _window_moments(window_rows: np.ndarray) -> MomentPair:
     """Empirical moments of one estimation window, regularized if singular."""
     pair = empirical_moments(window_rows)
@@ -339,24 +325,13 @@ def rolling_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestResult:
     weights = np.empty((rhos.size, n_blocks, n))
     weekly = np.empty((rhos.size, n_weeks))
 
-    def solve_cell(task: tuple) -> tuple:
-        block, j = task
+    for block, pair in enumerate(pairs):
         start = cfg.window + block * cfg.block
-        ball = GelbrichBall(pairs[block], rhos[j])
-        w = minimize_tracking(ball, cfg.p, feasible).w_star
-        realized = np.abs(data[start : start + cfg.block] @ w) ** cfg.p
-        return block, j, w, realized
-
-    tasks = [(b, j) for b in range(n_blocks) for j in range(rhos.size)]
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(solve_cell, tasks))
-    else:
-        outcomes = [solve_cell(task) for task in tasks]
-    for block, j, w, realized in outcomes:
-        weights[j, block] = w
-        weekly[j, block * cfg.block : (block + 1) * cfg.block] = realized
+        rows = data[start : start + cfg.block]
+        for j, rho in enumerate(rhos):
+            w = minimize_tracking(GelbrichBall(pair, rho), cfg.p, feasible).w_star
+            weights[j, block] = w
+            weekly[j, block * cfg.block : (block + 1) * cfg.block] = np.abs(rows @ w) ** cfg.p
 
     return BacktestResult(
         rho_grid=rhos,

@@ -85,6 +85,11 @@ class GelbrichBall:
     def dim(self) -> int:
         return self.center.dim
 
+    def require_unweighted(self, what: str) -> None:
+        """Raise :class:`MahalanobisUnsupported` unless the weight is absent or the identity."""
+        if self.weight is not None and not np.array_equal(self.weight, np.eye(self.dim)):
+            raise MahalanobisUnsupported(f"{what}: only the unweighted metric is supported")
+
 
 @dataclass(eq=False)
 class LinearRiskReport:
@@ -198,10 +203,7 @@ def worst_case_moments_linear(ball: GelbrichBall, w: np.ndarray, alpha: float) -
         )
     if not np.any(w):
         raise ZeroPortfolio("worst-case moments are undefined for the zero portfolio")
-    if ball.weight is not None and not np.array_equal(ball.weight, np.eye(ball.dim)):
-        raise MahalanobisUnsupported(
-            "worst-case moment extraction is only available for the unweighted metric"
-        )
+    ball.require_unweighted("worst-case moment extraction")
     center = ball.center
     if float(np.linalg.eigvalsh(center.cov)[0]) <= 0.0:
         raise SingularCov("worst-case moment extraction needs a positive definite covariance")

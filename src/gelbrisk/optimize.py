@@ -1,26 +1,38 @@
 """Portfolio selection under moment ambiguity.
 
-Minimizes the two robust objectives that admit cheap evaluations — the
-linear-loss worst-case risk
+Minimizes two robust objectives, both in closed form, subject to simple
+portfolio constraints: a simplex with lower bounds, the tracking set that
+pins the last coordinate to ``-1``, or box bounds with a budget.
 
-    -mu'w + alpha * sqrt(w' cov w) + radius * sqrt(1 + alpha^2) * ||w||
+The linear-loss worst-case risk is
 
-and the worst-case tracking error ``sup w' M w`` (or its square root)
-over a moment ball — subject to simple portfolio constraints: a simplex
-with lower bounds, the tracking set that pins the last coordinate to
-``-1``, or box bounds with a budget.
+    -mu'w + alpha * sqrt(w' cov w) + radius * sqrt(1 + alpha^2) * ||w||.
 
-Both objectives are convex but nonsmooth, and their subgradients cost no
-more than a matrix-vector product (plus, for the tracking error, one
-worst-case moment evaluation), so a projected subgradient method with
-Polyak-style steps and best-iterate tracking is used instead of an
-external conic solver.  The iteration schedule is deterministic: the
-same inputs always produce the same report.
+The worst-case tracking error ``sup w' M w`` over the (mean, second
+moment) pairs of a Gelbrich ball also has a closed form.  The loss only
+sees the mean ``m = w'mu`` and the deviation ``s = sqrt(w' cov w)`` of
+``w' xi``, the ball allows every ``(m, s)`` within ``radius * ||w||`` of
+the nominal pair, and ``m^2 + s^2`` is largest along the nominal
+direction, so
+
+    sup w' M w = r(w)^2,   r(w) = sqrt(w'(cov + mu mu')w) + radius * ||w||.
+
+Both objectives are convex and differentiable wherever their square
+roots are positive; on the tracking set ``||w|| >= 1``, and ``r`` is
+smooth unless the index is exactly replicable.  They are minimized by
+accelerated projected gradient (FISTA; Beck & Teboulle, 2009) with a
+backtracking estimate of the gradient's Lipschitz constant and a restart
+whenever a step shows no descent.  The loop stops on a certificate: the
+Frank-Wolfe duality gap ``g'(w - s)``, where ``s`` minimizes ``g's`` over
+the set (Jaggi, 2013), bounds ``f(w) - min f`` for a convex ``f``.  The
+iteration schedule is deterministic: the same inputs always produce the
+same report.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .linear_risk import GelbrichBall
-from .support import SupportQuery, support_V
+from .support import support_V  # noqa: F401  (bench/spans.py wraps optimize.support_V)
 
 __all__ = [
     "FeasibleSet",
@@ -46,30 +58,22 @@ __all__ = [
     "minimize_tracking",
 ]
 
-# Convergence is declared when the best objective value has not improved
-# by more than _IMPROVE_TOL over _QUIET_ITERS consecutive iterations.
-_IMPROVE_TOL = 1e-10
-_QUIET_ITERS = 200
+_log = logging.getLogger(__name__)
+
 _DEFAULT_MAX_ITER = 10_000
 
-# Refined mode (tracking): each stall shrinks the step-target offset by
-# _REFINE_SHRINK and continues, until the offset falls below a relative
-# floor; the loop then stops at the next stall.  The iterate precision
-# is governed by the offset, so decaying it in stages reaches the
-# smooth-objective floor instead of parking in the first offset band.
-_REFINE_IMPROVE_TOL = 1e-16
-_REFINE_SHRINK = 0.1
-_REFINE_FLOOR = 1e-13
-
-# Floor for the Polyak target offset so a flat probe still yields a
-# strictly positive step.
-_OFFSET_FLOOR = 1e-12
+# A solve converges once the Frank-Wolfe gap is at most _GAP_RTOL of |f|
+# or _GAP_FLOOR of the size of the terms summed into f.  The floor decides
+# only where the terms cancel to under 1e-4 of their size, as at a zero
+# optimum, where gap >= f - min f = f and the relative test cannot pass.
+_GAP_RTOL = 1e-8
+_GAP_FLOOR = 1e-12
 
 _FEASIBLE_TOL = 1e-9
 
 
 class Termination(enum.Enum):
-    """Why the subgradient loop stopped."""
+    """Why the optimizer stopped."""
 
     CONVERGED = "Converged"
     ITERATION_CAP = "IterationCap"
@@ -233,6 +237,27 @@ class FeasibleSet:
             return np.append(head, -1.0)
         return self._project_box_budget(0.5 * (self.lower + self.upper))
 
+    def vertex(self, direction: np.ndarray) -> np.ndarray:
+        """A vertex minimizing ``direction @ s`` over the set (the Frank-Wolfe oracle).
+
+        The box-budget set fills its budget in increasing order of ``direction``.
+        """
+        if self.kind == "simplex":
+            s = self.lower.copy()
+            s[int(np.argmin(direction))] += self.budget - float(np.sum(self.lower))
+            return s
+        if self.kind == "fixed-index-simplex":
+            s = np.zeros(self.dim)
+            s[int(np.argmin(direction[:-1]))] = self.budget
+            s[-1] = -1.0
+            return s
+        order = np.argsort(direction, kind="stable")
+        room = (self.upper - self.lower)[order]
+        left = self.budget - float(np.sum(self.lower))
+        s = self.lower.copy()
+        s[order] += np.clip(left - (np.cumsum(room) - room), 0.0, room)
+        return s
+
     def contains(self, w: np.ndarray, tol: float = _FEASIBLE_TOL) -> bool:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.dim,):
@@ -267,111 +292,100 @@ class FeasibleSet:
 
 @dataclass(eq=False)
 class OptimizeReport:
-    """Outcome of a projected-subgradient solve.
+    """Outcome of a solve.
 
-    ``value`` is the objective at ``w_star`` (the best iterate seen, not
-    necessarily the last one).  ``trace`` carries the per-iteration
-    objective values when requested, starting with the initial point.
+    ``value`` is the objective at ``w_star``, the last iterate.
+    ``gap`` is the Frank-Wolfe gap at ``w_star``, an upper bound on
+    ``value - min f``; ``termination`` is ``CONVERGED`` exactly when
+    ``gap <= 1e-8 * |value|``, or, where the terms of the objective
+    cancel to nearly zero, ``gap <= 1e-12`` times their magnitude.
+    ``trace`` carries the per-iteration objective values when requested,
+    starting with the initial point.
     """
 
     w_star: np.ndarray
     value: float
     iterations: int
     termination: Termination
+    gap: float
     trace: np.ndarray | None = None
 
 
-Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# An objective maps ``w`` to its value, its gradient and the magnitude of
+# the terms summed into the value (which cancel where the value is near 0).
+Objective = Callable[[np.ndarray], tuple[float, np.ndarray, float]]
 
 
-def _offset_scale(objective: Objective, feasible: FeasibleSet, w0, f0) -> float:
-    """Estimate the objective's range over the set from 2n probe points.
-
-    The spread calibrates the diminishing target offset of the Polyak
-    step, making the step size scale-free in the objective.
-    """
-    values = [f0]
-    for i in range(feasible.dim):
-        bump = np.zeros(feasible.dim)
-        bump[i] = 1.0
-        for sign in (1.0, -1.0):
-            values.append(objective(feasible.project(w0 + sign * bump))[0])
-    return max(max(values) - min(values), _OFFSET_FLOOR)
-
-
-def _best_iterate_descent(
+def _accelerated_descent(
     objective: Objective,
     feasible: FeasibleSet,
     max_iter: int,
     keep_trace: bool,
-    refine: bool = False,
 ) -> OptimizeReport:
-    """Projected subgradient loop shared by both objectives.
+    """Monotone accelerated projected gradient, stopped on the Frank-Wolfe gap.
 
-    Steps are Polyak-style with a diminishing target offset,
-
-        step_k = (f(w_k) - f_best + delta0 / sqrt(k)) / ||g_k||^2,
-
-    which needs no Lipschitz constant and shrinks automatically as the
-    best value stalls.  Subgradient methods are not monotone, so the
-    report returns the best iterate rather than the last.
-
-    With ``refine=False`` the loop stops at the first stall (no best
-    improvement above 1e-10 over 200 iterations).  With ``refine=True``
-    each stall instead shrinks ``delta0`` tenfold and the loop carries
-    on until the offset reaches a relative floor, polishing smooth
-    objectives to near machine precision; the schedule stays
-    deterministic either way.
+    Each iteration takes one projected gradient step from the
+    extrapolated point ``y``, ``z = P(y - grad f(y) / L)``, doubling ``L``
+    until ``(grad f(z) - grad f(y))'(z - y) <= L ||z - y||^2``.  This test
+    reads no function values, so it stays decisive where ``f`` is tiny
+    against its rounding error (a nearly replicable index).  A step that
+    shows no descent is discarded and the momentum restarts from ``w``.
     """
     max_iter = int(max_iter)
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    improve_tol = _REFINE_IMPROVE_TOL if refine else _IMPROVE_TOL
 
     w = feasible.feasible_point()
-    f, g = objective(w)
-    best_f = f
-    best_w = w.copy()
-    offset = _offset_scale(objective, feasible, w, f)
-    trace = [f] if keep_trace else None
+    f, g, scale = objective(w)
+    trace = [f]
+    y, g_y = w, g
+    momentum = 1.0
+    # Exact for f = L ||w||^2 / 2; backtracking corrects it upward.
+    lipschitz = float(np.linalg.norm(g)) / (float(np.linalg.norm(w)) or 1.0)
 
-    termination = Termination.ITERATION_CAP
-    quiet = 0
-    done = 0
-    for it in range(1, max_iter + 1):
-        done = it
-        g_sq = float(g @ g)
-        if g_sq == 0.0:
-            # A zero subgradient certifies a global minimum of a convex
-            # objective, feasibility aside; the projection keeps w valid.
+    iterations = 0
+    while True:
+        gap = float(g @ (w - feasible.vertex(g)))
+        if gap <= _GAP_RTOL * abs(f) or gap <= _GAP_FLOOR * scale:
             termination = Termination.CONVERGED
             break
-        step = (f - best_f + offset / math.sqrt(it)) / g_sq
-        w = feasible.project(w - step * g)
-        f, g = objective(w)
-        if keep_trace:
-            trace.append(f)
-        if f < best_f - improve_tol:
-            quiet = 0
+        if iterations == max_iter:
+            termination = Termination.ITERATION_CAP
+            _log.warning("stopped at the cap of %d iterations with Frank-Wolfe gap %.3e "
+                         "(value %.6e)", iterations, gap, f)
+            break
+        iterations += 1
+        while True:
+            z = feasible.project(y - g_y / lipschitz)
+            f_z, g_z, scale_z = objective(z)
+            step = z - y
+            if float((g_z - g_y) @ step) <= lipschitz * float(step @ step):
+                break
+            lipschitz *= 2.0
+        # The curvature test gives f(z) <= f(y) + g_y'(z - y) + L ||z - y||^2,
+        # so with the projection f(w) - f(z) >= L (z - y)'(y - w), a test on
+        # the iterates alone that holds when y = w and ignores rounding in f.
+        if f_z <= f or float(step @ (y - w)) >= 0.0:
+            next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum))
+            beta = (momentum - 1.0) / next_momentum
+            momentum = next_momentum
+            if beta > 0.0:
+                y = z + beta * (z - w)
+                g_y = objective(y)[1]
+            else:
+                y, g_y = z, g_z
+            w, f, g, scale = z, f_z, g_z, scale_z
         else:
-            quiet += 1
-        if f < best_f:
-            best_f = f
-            best_w = w.copy()
-        if quiet >= _QUIET_ITERS:
-            if refine and offset > _REFINE_FLOOR * max(1.0, abs(best_f)):
-                offset *= _REFINE_SHRINK
-                quiet = 0
-                continue
-            termination = Termination.CONVERGED
-            break
+            y, g_y, momentum = w, g, 1.0
+        trace.append(f)
 
     return OptimizeReport(
-        w_star=best_w,
-        value=best_f,
-        iterations=done,
+        w_star=w,
+        value=f,
+        iterations=iterations,
         termination=termination,
-        trace=None if trace is None else np.asarray(trace),
+        gap=gap,
+        trace=np.asarray(trace) if keep_trace else None,
     )
 
 
@@ -381,6 +395,56 @@ def _check_feasible(ball: GelbrichBall, feasible: FeasibleSet) -> None:
             f"feasible set has dimension {feasible.dim} but the ball lives in "
             f"dimension {ball.dim}"
         )
+
+
+def _linear_objective(ball: GelbrichBall, alpha: float) -> Objective:
+    """Worst-case linear-loss risk of ``w`` and its gradient."""
+    mean = ball.center.mean
+    cov = ball.center.cov
+    lam = ball.radius * math.sqrt(1.0 + alpha * alpha)
+    weight = ball.weight
+
+    def objective(w: np.ndarray) -> tuple[float, np.ndarray, float]:
+        cov_w = cov @ w
+        deviation = alpha * math.sqrt(max(float(w @ cov_w), 0.0))
+        scaled = w if weight is None else np.linalg.solve(weight, w)
+        norm = math.sqrt(max(float(w @ scaled), 0.0))
+        expected = float(mean @ w)
+        value = -expected + deviation + lam * norm
+        grad = -mean.copy()
+        if deviation > 0.0:
+            grad += (alpha * alpha / deviation) * cov_w
+        if norm > 0.0:
+            grad += (lam / norm) * scaled
+        return value, grad, abs(expected) + deviation + lam * norm
+
+    return objective
+
+
+def _tracking_objective(ball: GelbrichBall, p: int) -> Objective:
+    """Worst-case tracking error ``r(w)^p`` of ``w`` and its gradient."""
+    radius = ball.radius
+    second = ball.center.cov + np.outer(ball.center.mean, ball.center.mean)
+    diagonal = np.diag(second).copy()
+
+    def objective(w: np.ndarray) -> tuple[float, np.ndarray, float]:
+        second_w = second @ w
+        root = math.sqrt(max(float(w @ second_w), 0.0))
+        norm = math.sqrt(float(w @ w))
+        value = root + radius * norm
+        grad = np.zeros_like(w)
+        if root > 0.0:
+            grad += second_w / root
+        if norm > 0.0:
+            grad += (radius / norm) * w
+        # The diagonal terms of w' M w, which the off-diagonal ones cancel
+        # where the index is nearly replicable.
+        scale = math.sqrt(float((w * w) @ diagonal)) + radius * norm
+        if p == 1:
+            return value, grad, scale
+        return value * value, (2.0 * value) * grad, scale * scale
+
+    return objective
 
 
 def minimize_linear_gelbrich(
@@ -401,9 +465,9 @@ def minimize_linear_gelbrich(
 
     evaluated exactly as :func:`gelbrisk.linear_risk.gelbrich_risk_linear`
     does, so the reported value agrees with that function at ``w_star``.
-    Subgradients use the convention that a term whose denominator
-    vanishes (``w' cov w = 0`` or ``||w|| = 0``) contributes zero — a
-    valid subgradient choice at the minimum of a norm.
+    Gradients use the convention that a term whose denominator vanishes
+    (``w' cov w = 0`` or ``||w|| = 0``) contributes zero — a valid
+    subgradient choice at the minimum of a norm.
 
     Parameters
     ----------
@@ -415,7 +479,7 @@ def minimize_linear_gelbrich(
     feasible : FeasibleSet
         Constraint set; its dimension must match the ball's.
     max_iter : int, optional
-        Iteration cap of the subgradient loop.
+        Iteration cap of the accelerated gradient loop.
     keep_trace : bool, optional
         Record the per-iteration objective values in the report.
     """
@@ -425,26 +489,9 @@ def minimize_linear_gelbrich(
     if alpha < 0.0:
         raise NegativeAlpha(f"the risk coefficient must be nonnegative, got {alpha}")
     _check_feasible(ball, feasible)
-
-    mean = ball.center.mean
-    cov = ball.center.cov
-    lam = ball.radius * math.sqrt(1.0 + alpha * alpha)
-    weight = ball.weight
-
-    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        cov_w = cov @ w
-        deviation = alpha * math.sqrt(max(float(w @ cov_w), 0.0))
-        scaled = w if weight is None else np.linalg.solve(weight, w)
-        norm = math.sqrt(max(float(w @ scaled), 0.0))
-        value = -float(mean @ w) + deviation + lam * norm
-        grad = -mean.copy()
-        if deviation > 0.0:
-            grad += (alpha * alpha / deviation) * cov_w
-        if norm > 0.0:
-            grad += (lam / norm) * scaled
-        return value, grad
-
-    return _best_iterate_descent(objective, feasible, max_iter, keep_trace)
+    return _accelerated_descent(
+        _linear_objective(ball, alpha), feasible, max_iter, keep_trace
+    )
 
 
 def minimize_tracking(
@@ -458,51 +505,25 @@ def minimize_tracking(
     """Minimize the worst-case tracking error over ``feasible``.
 
     The objective is ``sup w' M w`` over the second-moment pairs of the
-    ball (``p = 2``) or its square root (``p = 1``), evaluated through
-    the moment support function; its subgradient at ``w`` comes from the
-    envelope theorem at the worst-case second moment ``M*``:
-    ``2 M* w`` for ``p = 2`` and ``M* w / sqrt(value)`` for ``p = 1``.
-    At zero radius the supremum collapses to the nominal second moment
-    ``cov + mu mu'``, which is used directly (and tolerates a singular
-    nominal covariance).
+    ball (``p = 2``) or its square root (``p = 1``), evaluated in closed
+    form: with ``r(w) = sqrt(w'(cov + mu mu')w) + radius * ||w||`` it is
+    ``r`` for ``p = 1`` and ``r^2`` for ``p = 2``, at every radius
+    including zero.  The nominal covariance may be singular.  Both
+    exponents share the minimizer.
 
     The natural constraint set is :meth:`FeasibleSet.tracking_simplex`,
     which holds the replicating weights on a simplex and the index
-    weight at ``-1``, but any :class:`FeasibleSet` is accepted.  At zero
-    radius the objective evaluations are exact quadratics and the
-    subgradient loop runs in refined mode (staged offset decay), so an
-    exactly replicable index is tracked to its noise floor; at positive
-    radius each evaluation already carries the support function's
-    root-finding tolerance, so the loop stops at the standard stall.
+    weight at ``-1``, but any :class:`FeasibleSet` is accepted.
+
+    Raises
+    ------
+    MahalanobisUnsupported
+        If the ball carries a weight other than the identity.
     """
     if p not in (1, 2):
         raise BadP(f"the tracking exponent must be 1 or 2, got {p!r}")
     _check_feasible(ball, feasible)
-
-    p = int(p)
-    radius = ball.radius
-    nominal_second = None
-    if radius == 0.0:
-        nominal_second = ball.center.cov + np.outer(ball.center.mean, ball.center.mean)
-    zero_q = np.zeros(ball.dim)
-
-    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        if not np.any(w):
-            return 0.0, np.zeros_like(w)
-        if nominal_second is not None:
-            second = nominal_second
-            quad = max(float(w @ second @ w), 0.0)
-        else:
-            result = support_V(ball, SupportQuery(zero_q, np.outer(w, w)))
-            second = result.argmax[1]
-            quad = max(result.value, 0.0)
-        if p == 2:
-            return quad, 2.0 * (second @ w)
-        root = math.sqrt(quad)
-        if root == 0.0:
-            return 0.0, np.zeros_like(w)
-        return root, (second @ w) / root
-
-    return _best_iterate_descent(
-        objective, feasible, max_iter, keep_trace, refine=radius == 0.0
+    ball.require_unweighted("the worst-case tracking error")
+    return _accelerated_descent(
+        _tracking_objective(ball, int(p)), feasible, max_iter, keep_trace
     )

@@ -37,7 +37,6 @@ from .errors import (
     DimMismatch,
     EmptyPieces,
     IoError,
-    MahalanobisUnsupported,
     NonFinite,
     ParseError,
     SingularConstraintGram,
@@ -847,10 +846,7 @@ def _sym_unit(dim: int, i: int, j: int, scale: float = 1.0) -> np.ndarray:
 def _check_ball(ball: GelbrichBall):
     """Validate a ball for the worst-case programs; returns its pieces."""
     n = ball.dim
-    if ball.weight is not None and not np.array_equal(ball.weight, np.eye(n)):
-        raise MahalanobisUnsupported(
-            "the worst-case programs are stated for the unweighted metric"
-        )
+    ball.require_unweighted("the worst-case programs")
     if ball.radius <= 0.0:
         raise ZeroRadius("the reformulation needs a strictly positive radius")
     mu = ball.center.mean

@@ -125,6 +125,7 @@ def _checked_inputs(ball: GelbrichBall, query: SupportQuery):
     n = ball.dim
     if query.dim != n:
         raise DimMismatch(f"query dimension {query.dim} does not match ball's {n}")
+    ball.require_unweighted("the support function")
     center = ball.center
     lam = np.linalg.eigvalsh(center.cov)
     if lam[0] <= 1e-10 * max(1.0, lam[-1]):
@@ -210,6 +211,9 @@ def support_U(ball: GelbrichBall, query: SupportQuery) -> SupportResult:
     ------
     SingularCov
         If the center covariance is (numerically) singular.
+    MahalanobisUnsupported
+        If the ball carries a weight other than the identity; this holds
+        for every function of this module.
     RootBracketFailure
         If the multiplier cannot be bracketed.
     """

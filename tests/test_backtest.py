@@ -223,24 +223,15 @@ class TestRollingBacktest:
                 ReturnPanel(dates, assets, returns), BacktestConfig(rho_grid=[0.0])
             )
 
-    def test_deterministic_across_parallelism(self, monkeypatch):
+    def test_repeated_runs_are_identical(self):
         dates, assets, returns = regime_shift_panel(periods=76)
         panel = ReturnPanel(dates, assets, returns)
         cfg = BacktestConfig(rho_grid=[0.0, 0.01, 0.05], p=2, window=48, block=12)
-        sequential = rolling_backtest(panel, cfg)
-        monkeypatch.setenv("GELBRICH_THREADS", "3")
-        threaded = rolling_backtest(panel, cfg)
-        assert sequential.curve_csv() == threaded.curve_csv()
-        np.testing.assert_array_equal(sequential.weights, threaded.weights)
-        np.testing.assert_array_equal(sequential.weekly_errors, threaded.weekly_errors)
-
-    def test_invalid_thread_env(self, monkeypatch):
-        monkeypatch.setenv("GELBRICH_THREADS", "many")
-        dates, assets, returns = replication_panel(periods=64)
-        with pytest.raises(ValidationError, match="GELBRICH_THREADS"):
-            rolling_backtest(
-                ReturnPanel(dates, assets, returns), BacktestConfig(rho_grid=[0.0])
-            )
+        first = rolling_backtest(panel, cfg)
+        second = rolling_backtest(panel, cfg)
+        assert first.curve_csv() == second.curve_csv()
+        np.testing.assert_array_equal(first.weights, second.weights)
+        np.testing.assert_array_equal(first.weekly_errors, second.weekly_errors)
 
     def test_index_column_by_name(self):
         dates, assets, returns = replication_panel(periods=64)

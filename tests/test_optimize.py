@@ -1,5 +1,6 @@
-"""Feasible-set geometry and the projected-subgradient portfolio solvers."""
+"""Feasible-set geometry, the closed-form objectives and the certified solvers."""
 
+import logging
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from gelbrisk.errors import (
     BadP,
     DimMismatch,
     InfeasibleSet,
+    MahalanobisUnsupported,
     NegativeAlpha,
     NonFinite,
     ValidationError,
@@ -18,10 +20,11 @@ from gelbrisk.metric import MomentPair
 from gelbrisk.optimize import (
     FeasibleSet,
     Termination,
+    _tracking_objective,
     minimize_linear_gelbrich,
     minimize_tracking,
 )
-from gelbrisk.support import SupportQuery, support_V
+from gelbrisk.support import SupportQuery, support_V, support_V_sdp
 
 MU5 = np.array([0.05, -0.02, 0.11, 0.03, -0.07])
 COV5 = np.array(
@@ -167,6 +170,73 @@ class TestFeasibleSet:
         with pytest.raises(DimMismatch):
             FeasibleSet.simplex(3).project(np.ones(4))
 
+    def test_vertex_minimizes_linear_functions(self):
+        rng = np.random.default_rng(12)
+        box = FeasibleSet.box_budget(
+            [-0.3, 0.0, -0.1, 0.1, -0.5], [0.6, 0.5, 0.9, 0.4, 0.2], budget=1.0
+        )
+        for fs in (
+            FeasibleSet.simplex(5, [0.05, 0.0, 0.1, 0.0, 0.02]),
+            FeasibleSet.tracking_simplex(5),
+            box,
+        ):
+            for _ in range(20):
+                direction = rng.standard_normal(5)
+                s = fs.vertex(direction)
+                assert fs.contains(s)
+                for _ in range(50):
+                    assert direction @ s <= direction @ fs.sample(rng) + 1e-12
+
+    def test_box_budget_vertex_fills_cheapest_coordinates_first(self):
+        fs = FeasibleSet.box_budget([-0.3, 0.0, -0.1], [0.6, 0.5, 0.9], budget=1.0)
+        s = fs.vertex(np.array([0.2, -1.0, 0.5]))
+        # Fill the cheapest coordinates first: 1 to its upper bound, then 0.
+        np.testing.assert_allclose(s, [0.6, 0.5, -0.1])
+        assert fs.contains(s)
+
+
+class TestTrackingClosedForm:
+    """``r(w)^2 = (sqrt(w'(cov + mu mu')w) + rho ||w||)^2`` against the oracles."""
+
+    @staticmethod
+    def random_ball(rng, n):
+        a = rng.standard_normal((n, n))
+        cov = a @ a.T / n + 0.1 * np.eye(n)
+        return GelbrichBall(MomentPair(rng.standard_normal(n), cov), float(rng.uniform(0.01, 2.0)))
+
+    def test_matches_support_function(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            ball = self.random_ball(rng, n)
+            w = rng.standard_normal(n)
+            value = _tracking_objective(ball, 2)(w)[0]
+            oracle = support_V(ball, SupportQuery(np.zeros(n), np.outer(w, w))).value
+            assert value == pytest.approx(oracle, rel=1e-12)
+            assert _tracking_objective(ball, 1)(w)[0] == pytest.approx(math.sqrt(value), rel=1e-15)
+
+    def test_matches_semidefinite_route(self):
+        rng = np.random.default_rng(14)
+        for n in (2, 2, 3):
+            ball = self.random_ball(rng, n)
+            w = rng.standard_normal(n)
+            oracle = support_V_sdp(ball, SupportQuery(np.zeros(n), np.outer(w, w)), tol=1e-8)
+            assert _tracking_objective(ball, 2)(w)[0] == pytest.approx(oracle, abs=1e-3)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_gradient_matches_central_differences(self, p):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            objective = _tracking_objective(self.random_ball(rng, n), p)
+            w = rng.standard_normal(n)
+            h = 1e-6
+            numeric = [
+                (objective(w + h * e)[0] - objective(w - h * e)[0]) / (2.0 * h)
+                for e in np.eye(n)
+            ]
+            np.testing.assert_allclose(objective(w)[1], numeric, rtol=1e-6, atol=1e-8)
+
 
 class TestMinimizeLinear:
     def test_constant_objective_on_budget_set(self):
@@ -263,12 +333,82 @@ class TestMinimizeLinear:
         assert report.trace.shape == (report.iterations + 1,)
         assert report.value == pytest.approx(report.trace.min(), abs=0.0)
 
+    @pytest.mark.parametrize("kind, param", [("linear", 1.0), ("tracking", 1), ("tracking", 2)])
+    def test_trace_is_nonincreasing(self, kind, param):
+        if kind == "linear":
+            report = minimize_linear_gelbrich(
+                ball5(0.05), param, FeasibleSet.simplex(5), keep_trace=True
+            )
+        else:
+            report = minimize_tracking(
+                tracking_ball(0.01), param, FeasibleSet.tracking_simplex(3), keep_trace=True
+            )
+        assert report.iterations > 1
+        # Steps are accepted on a descent inequality that holds in exact
+        # arithmetic; the computed values may still rise by a few ulps.
+        rounding = 4.0 * np.finfo(float).eps * np.abs(report.trace[:-1])
+        assert np.all(np.diff(report.trace) <= rounding)
+
+    def test_zero_optimum_converges(self):
+        # Choose the mean so that the gradient vanishes at an interior w0:
+        # the objective is positively homogeneous, so its value there is
+        # grad'w0 = 0, the global minimum.  A gap relative to |f| alone
+        # could never certify it, since gap >= f - min f = f.
+        alpha, rho = 1.5, 0.1
+        w0 = np.array([0.5, 0.3, 0.2])
+        cov = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.06]])
+        lam = rho * math.sqrt(1.0 + alpha**2)
+        mu = alpha * (cov @ w0) / math.sqrt(w0 @ cov @ w0) + lam * w0 / np.linalg.norm(w0)
+        ball = GelbrichBall(MomentPair(mu, cov), rho)
+        assert linear_objective(ball, alpha, w0) == pytest.approx(0.0, abs=1e-15)
+        report = minimize_linear_gelbrich(ball, alpha, FeasibleSet.simplex(3))
+        assert report.termination is Termination.CONVERGED
+        assert abs(report.value) <= 1e-12
+        np.testing.assert_allclose(report.w_star, w0, atol=1e-5)
+
     def test_iteration_cap_reported(self):
         report = minimize_linear_gelbrich(
             ball5(0.3), 1.0, FeasibleSet.simplex(5), max_iter=3
         )
         assert report.iterations == 3
         assert report.termination is Termination.ITERATION_CAP
+
+    def test_iteration_cap_logs_the_gap(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="gelbrisk.optimize"):
+            report = minimize_linear_gelbrich(
+                ball5(0.3), 1.0, FeasibleSet.simplex(5), max_iter=3
+            )
+        messages = [r.getMessage() for r in caplog.records if r.name == "gelbrisk.optimize"]
+        assert len(messages) == 1
+        assert f"{report.gap:.3e}" in messages[0]
+        assert report.gap > 1e-8 * abs(report.value)
+
+    def test_converged_solve_logs_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gelbrisk.optimize"):
+            report = minimize_linear_gelbrich(ball5(0.3), 1.0, FeasibleSet.simplex(5))
+        assert report.termination is Termination.CONVERGED
+        assert not [r for r in caplog.records if r.name == "gelbrisk.optimize"]
+
+    def test_large_simplex_converges_with_certificate(self):
+        rng = np.random.default_rng(200)
+        n, alpha, rho = 200, 1.5, 0.05
+        a = rng.standard_normal((n, n))
+        cov = a @ a.T / n + 0.1 * np.eye(n)
+        mu = rng.normal(size=n) * 0.1
+        ball = GelbrichBall(MomentPair(mu, cov), rho)
+        report = minimize_linear_gelbrich(ball, alpha, FeasibleSet.simplex(n))
+        assert report.termination is Termination.CONVERGED
+        assert 0.0 <= report.gap <= 1e-8 * abs(report.value)
+        # The gap recomputed from an independently coded gradient; on the
+        # simplex the minimizing vertex is the cheapest coordinate.
+        w = report.w_star
+        grad = (
+            -mu
+            + alpha * (cov @ w) / math.sqrt(w @ cov @ w)
+            + rho * math.sqrt(1.0 + alpha**2) * w / np.linalg.norm(w)
+        )
+        assert float(grad @ w - grad.min()) == pytest.approx(report.gap, rel=1e-6, abs=1e-15)
+        assert linear_objective(ball, alpha, w) == pytest.approx(report.value, abs=1e-12)
 
     def test_bad_max_iter(self):
         with pytest.raises(ValidationError):
@@ -372,3 +512,35 @@ class TestMinimizeTracking:
     def test_dimension_mismatch(self):
         with pytest.raises(DimMismatch):
             minimize_tracking(tracking_ball(0.1), 2, FeasibleSet.tracking_simplex(4))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("rho", [0.0, 0.01, 0.3, 3.0])
+    def test_converges_with_certificate(self, p, rho):
+        ball = tracking_ball(rho)
+        fs = FeasibleSet.tracking_simplex(3)
+        report = minimize_tracking(ball, p, fs)
+        assert report.termination is Termination.CONVERGED
+        assert 0.0 <= report.gap <= 1e-8 * report.value
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            assert report.value <= tracking_objective(ball, p, fs.sample(rng)) + 1e-12
+
+    def test_exponents_share_the_minimizer(self):
+        ball = tracking_ball(0.2)
+        fs = FeasibleSet.tracking_simplex(3)
+        w1 = minimize_tracking(ball, 1, fs).w_star
+        w2 = minimize_tracking(ball, 2, fs).w_star
+        np.testing.assert_allclose(w1, w2, atol=1e-6)
+
+    def test_weighted_ball_rejected(self):
+        ball = GelbrichBall(tracking_ball(0.2).center, 0.2, weight=np.diag([4.0, 0.25, 1.0]))
+        with pytest.raises(MahalanobisUnsupported):
+            minimize_tracking(ball, 2, FeasibleSet.tracking_simplex(3))
+
+    def test_identity_weight_matches_unweighted(self):
+        base = tracking_ball(0.2)
+        fs = FeasibleSet.tracking_simplex(3)
+        weighted = GelbrichBall(base.center, 0.2, weight=np.eye(3))
+        np.testing.assert_array_equal(
+            minimize_tracking(weighted, 2, fs).w_star, minimize_tracking(base, 2, fs).w_star
+        )

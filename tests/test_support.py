@@ -8,6 +8,7 @@ import pytest
 from gelbrisk.errors import (
     DimMismatch,
     HypothesisViolated,
+    MahalanobisUnsupported,
     NonFinite,
     SingularCov,
     SolverDidNotConverge,
@@ -348,6 +349,27 @@ class TestSdpCrossChecks:
         query = SupportQuery([0.4, -0.7], [[1.1, 0.2], [0.2, -0.5]])
         with pytest.raises(SolverDidNotConverge):
             support_U_sdp(ball, query, max_iter=3)
+
+
+class TestWeightedBalls:
+    QUERY = SupportQuery([0.4, -0.7], [[1.1, 0.2], [0.2, -0.5]])
+
+    @pytest.mark.parametrize("support", [support_U, support_V, support_U_sdp, support_V_sdp])
+    def test_non_identity_weight_rejected(self, support):
+        ball = GelbrichBall(MomentPair(MU2, COV2), 0.5, weight=np.diag([4.0, 0.25]))
+        with pytest.raises(MahalanobisUnsupported):
+            support(ball, self.QUERY)
+
+    @pytest.mark.parametrize("support", [support_U, support_V])
+    def test_identity_weight_matches_unweighted(self, support):
+        plain = GelbrichBall(MomentPair(MU2, COV2), 0.5)
+        identity = GelbrichBall(MomentPair(MU2, COV2), 0.5, weight=np.eye(2))
+        assert support(identity, self.QUERY).value == support(plain, self.QUERY).value
+
+    def test_identity_weight_accepted_by_the_sdp_route(self):
+        plain = GelbrichBall(MomentPair(MU2, COV2), 0.5)
+        identity = GelbrichBall(MomentPair(MU2, COV2), 0.5, weight=np.eye(2))
+        assert support_V_sdp(identity, self.QUERY) == support_V_sdp(plain, self.QUERY)
 
 
 class TestQueryValidation:
